@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# CI entry point: the full tier-1 suite, then the serving layer, the obs
+# CI entry point: the full tier-1 suite (plain, ASan, UBSan), the
+# perfbench statistics self-tests, then the serving layer, the obs
 # layer, and the netstack again under TSan — the admission queue, the pool
 # warmer, the watchdog pipeline, the flight-ring seqlock, and the
 # poller/timer/backpressure paths are the most thread-heavy code in the
@@ -19,6 +20,20 @@ echo "==> full suite (${BUILD})"
 cmake -S . -B "${BUILD}" -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "${BUILD}" -j "$(nproc)"
 ctest --test-dir "${BUILD}" --output-on-failure -j "$(nproc)"
+
+echo "==> perfbench statistics self-tests"
+python3 -m unittest discover -s perfbench -p 'test_*.py'
+
+# The full suite again under AddressSanitizer and UBSan: the MPK key
+# runtime, the CoW snapshot clones and the zero-copy pins are manual
+# memory management that only these catch.
+for sanitizer in address undefined; do
+  echo "==> full suite under -DALLOY_SANITIZE=${sanitizer} (${BUILD}-${sanitizer})"
+  cmake -S . -B "${BUILD}-${sanitizer}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DALLOY_SANITIZE="${sanitizer}" >/dev/null
+  cmake --build "${BUILD}-${sanitizer}" -j "$(nproc)"
+  ctest --test-dir "${BUILD}-${sanitizer}" --output-on-failure -j "$(nproc)"
+done
 
 echo "==> serving + obs + netstack tests under ThreadSanitizer (${BUILD}-tsan)"
 cmake -S . -B "${BUILD}-tsan" -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -35,11 +35,9 @@ class ThreadPool {
   size_t EnsureAtLeast(size_t num_threads);
 
   // Pins every current and future worker to `cpus` via
-  // pthread_setaffinity_np (multi-visor sharding: a shard's stage workers
-  // stay on the shard's core set). Best-effort: an empty or invalid set —
-  // the no-affinity fallback when a shard's cpuset is too small for the
-  // machine — leaves threads unpinned. Returns how many existing workers
-  // were successfully pinned.
+  // pthread_setaffinity_np (WfdOptions::cpu_affinity). Best-effort: an
+  // empty or invalid set leaves threads unpinned. Returns how many existing
+  // workers were successfully pinned.
   size_t PinToCpus(const std::vector<int>& cpus);
 
   // The cpuset workers are pinned to (empty = unpinned).

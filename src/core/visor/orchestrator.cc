@@ -245,9 +245,8 @@ asbase::Result<RunStats> Orchestrator::Run(const WorkflowSpec& workflow,
             // earlier invocation of this WFD.
             user_pkru = cached_user_pkru;
           } else {
-            auto fn_key = wfd_->RegisterFunctionInstance(fn_name);
-            user_pkru =
-                wfd_->UserPkru(fn_key.ok() ? *fn_key : wfd_->user_key());
+            user_pkru = wfd_->UserPkru(
+                wfd_->RegisterFunctionInstance(fn_name, instance));
             if (cacheable) {
               cached_pkru_wfd = wfd_;
               cached_user_pkru = user_pkru;

@@ -150,11 +150,6 @@ void AsVisor::RegisterWorkflow(const WorkflowSpec& spec,
   if (!(options.weight >= 1e-6)) {  // also catches NaN
     options.weight = 1.0;
   }
-  // Sharded visor: this shard's WFDs (and their stage workers) stay on the
-  // shard's core set unless the caller pinned them elsewhere explicitly.
-  if (options.wfd.cpu_affinity.empty() && !shard_.cpus.empty()) {
-    options.wfd.cpu_affinity = shard_.cpus;
-  }
   Entry entry;
   entry.spec = spec;
   entry.warmup = std::make_shared<WarmupProfile>();

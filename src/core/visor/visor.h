@@ -143,16 +143,11 @@ class AsVisor {
   };
 
   // Identity of this visor inside an AsVisorRouter. A standalone visor
-  // (index -1) behaves exactly as before sharding: unlabelled metrics, no
-  // worker affinity.
+  // (index -1) behaves exactly as before sharding: unlabelled metrics.
   struct ShardIdentity {
     // Shard number, stamped onto every metric series this visor writes as
     // `alloy_visor_shard="<index>"`. -1 = unsharded.
     int index = -1;
-    // Core set this shard's WFD stage workers pin to (empty = no affinity;
-    // the router leaves it empty when the machine has fewer cores than
-    // shards).
-    std::vector<int> cpus;
   };
 
   AsVisor() : AsVisor(ShardIdentity{}) {}
@@ -193,10 +188,8 @@ class AsVisor {
   std::shared_ptr<WfdPool> MigrateOut(const std::string& workflow_name);
 
   // Receiving side of the warm-pool handoff: parks the WFDs into
-  // `workflow_name`'s pool (evicting past capacity). WFDs built for the
-  // old shard keep their old core affinity — functional, re-pinned only
-  // when they age out; the alternative (rebooting them) is the cold start
-  // migration exists to avoid.
+  // `workflow_name`'s pool (evicting past capacity) instead of rebooting
+  // them — the cold start migration exists to avoid.
   void AdoptWarmWfds(const std::string& workflow_name,
                      std::vector<std::unique_ptr<Wfd>> wfds);
 
@@ -301,7 +294,9 @@ class AsVisor {
 
   std::vector<std::string> WorkflowNames() const;
   int shard_index() const { return shard_.index; }
-  const std::vector<int>& shard_cpus() const { return shard_.cpus; }
+  // Core set this shard's WFDs are pinned to: always empty. Stage workers
+  // float so a fan-out stage spreads over idle cores (DESIGN.md §10).
+  std::vector<int> shard_cpus() const { return {}; }
 
   // Per-workflow end-to-end latency samples (P99 analysis, Fig 17a).
   asbase::Result<asbase::Histogram> LatencyHistogram(

@@ -186,8 +186,6 @@ class AsVisorRouter {
   size_t HashShardLocked(const std::string& workflow_name) const;
   // Rebuilds ring_ for `shard_count` shards; caller holds the write lock.
   void RebuildRingLocked(size_t shard_count);
-  // Creates shard `index` of `shard_count` (identity + cpu slice).
-  std::shared_ptr<AsVisor> MakeShard(size_t index, size_t shard_count) const;
 
   ashttp::HttpResponse ServeTrace(const std::string& target) const;
   // /readyz across shards: 503 if ANY shard is draining (a rolling drain

@@ -145,21 +145,27 @@ asbase::Status Wfd::Reset() {
   return asbase::OkStatus();
 }
 
-asbase::Result<asmpk::ProtKey> Wfd::RegisterFunctionInstance(
-    const std::string& function_name) {
+asmpk::ProtKey Wfd::RegisterFunctionInstance(const std::string& function_name,
+                                             int instance) {
   if (!options_.inter_function_isolation) {
     return user_key_;
   }
-  auto key = mpk_->AllocateKey();
-  if (!key.ok()) {
-    // Keys are a finite hardware resource (15); fall back to the shared
-    // user key when a workflow has more instances than keys, like the
-    // paper's default (shared MPK permissions) mode.
-    AS_LOG(kDebug) << "out of pkeys for " << function_name
-                   << "; sharing the WFD user key";
-    return user_key_;
+  std::lock_guard<std::mutex> lock(instance_keys_mutex_);
+  auto [it, inserted] =
+      instance_keys_.try_emplace({function_name, instance}, user_key_);
+  if (inserted) {
+    auto key = mpk_->AllocateKey();
+    if (key.ok()) {
+      it->second = *key;
+    } else {
+      // Keys are a finite hardware resource (15); fall back to the shared
+      // user key when a workflow has more instances than keys, like the
+      // paper's default (shared MPK permissions) mode.
+      AS_LOG(kDebug) << "out of pkeys for " << function_name
+                     << "; sharing the WFD user key";
+    }
   }
-  return *key;
+  return it->second;
 }
 
 uint32_t Wfd::UserPkru(asmpk::ProtKey function_key) const {

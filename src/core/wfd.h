@@ -16,9 +16,11 @@
 #ifndef SRC_CORE_WFD_H_
 #define SRC_CORE_WFD_H_
 
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/thread_pool.h"
@@ -52,9 +54,9 @@ struct WfdOptions {
 
   asmpk::MpkBackend mpk_backend = asmpk::PkeyRuntime::DefaultBackend();
 
-  // CPUs this WFD's stage workers pin to (multi-visor sharding: the owning
-  // shard's core set, so a WFD's stages stop bouncing across the machine).
-  // Empty = no affinity. Best-effort; an invalid set falls back to unpinned.
+  // CPUs this WFD's stage workers pin to. Empty (the default, and what the
+  // visor uses) = no affinity, so a fan-out stage spreads over idle cores.
+  // Best-effort; an invalid set falls back to unpinned.
   std::vector<int> cpu_affinity;
 
   // Invocation trace to hang wfd/libos spans off (optional, not owned; must
@@ -113,10 +115,12 @@ class Wfd {
   // failure the WFD must be destroyed, not re-pooled.
   asbase::Status Reset();
 
-  // Under AS-IFI, allocates a dedicated key for a function instance.
-  // Returns the WFD user key otherwise.
-  asbase::Result<asmpk::ProtKey> RegisterFunctionInstance(
-      const std::string& function_name);
+  // Under AS-IFI, the dedicated key of instance `instance` of
+  // `function_name`: allocated on its first invocation, reused on every
+  // warm one (keys are finite and, under kHardware, process-global).
+  // Returns the WFD user key otherwise, or when the keys run out.
+  asmpk::ProtKey RegisterFunctionInstance(const std::string& function_name,
+                                          int instance);
 
   asmpk::ProtKey system_key() const { return system_key_; }
   asmpk::ProtKey user_key() const { return user_key_; }
@@ -151,6 +155,9 @@ class Wfd {
   std::unique_ptr<Libos> libos_;
   int64_t creation_nanos_ = 0;
   bool cloned_from_snapshot_ = false;
+
+  std::mutex instance_keys_mutex_;
+  std::map<std::pair<std::string, int>, asmpk::ProtKey> instance_keys_;
 
   // Declared last so the workers join before the LibOS (heap, netstack)
   // they may have touched is torn down.

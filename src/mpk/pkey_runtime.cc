@@ -161,22 +161,31 @@ PkeyRuntime::PkeyRuntime(MpkBackend backend) : backend_(backend) {
 
 PkeyRuntime::~PkeyRuntime() {
   RetireTelemetry(this);
-  for (auto& [key, hw_key] : hw_keys_) {
-    SysPkeyFree(hw_key);
+  if (backend_ == MpkBackend::kHardware) {
+    for (ProtKey key = 1; key < 16; ++key) {
+      if (keys_in_use_ & (1u << key)) {
+        SysPkeyFree(key);
+      }
+    }
   }
 }
 
 asbase::Result<ProtKey> PkeyRuntime::AllocateKey() {
   std::lock_guard<std::mutex> lock(mutex_);
+  if (backend_ == MpkBackend::kHardware) {
+    // The kernel pkey *is* the key: PKRU is indexed by kernel pkey, and the
+    // pool is process-global, so a runtime-local numbering would put another
+    // WFD's key into this WFD's PKRU.
+    const int key = SysPkeyAlloc();
+    if (key < 0) {
+      return asbase::ResourceExhausted("kernel is out of pkeys");
+    }
+    AS_CHECK(key > 0 && key < 16) << "kernel returned pkey " << key;
+    keys_in_use_ |= static_cast<uint16_t>(1u << key);
+    return key;
+  }
   for (ProtKey key = 1; key < 16; ++key) {
     if ((keys_in_use_ & (1u << key)) == 0) {
-      if (backend_ == MpkBackend::kHardware) {
-        int hw_key = SysPkeyAlloc();
-        if (hw_key < 0) {
-          return asbase::ResourceExhausted("kernel is out of pkeys");
-        }
-        hw_keys_[key] = hw_key;
-      }
       keys_in_use_ |= static_cast<uint16_t>(1u << key);
       return key;
     }
@@ -197,8 +206,7 @@ asbase::Status PkeyRuntime::FreeKey(ProtKey key) {
     }
   }
   if (backend_ == MpkBackend::kHardware) {
-    SysPkeyFree(hw_keys_[key]);
-    hw_keys_.erase(key);
+    SysPkeyFree(key);
   }
   keys_in_use_ &= static_cast<uint16_t>(~(1u << key));
   return asbase::OkStatus();
@@ -233,7 +241,7 @@ asbase::Status PkeyRuntime::BindRegion(void* addr, size_t len, ProtKey key,
   }
 
   if (backend_ == MpkBackend::kHardware) {
-    if (SysPkeyMprotect(addr, len, prot, hw_keys_[key]) != 0) {
+    if (SysPkeyMprotect(addr, len, prot, key) != 0) {
       return asbase::Internal("pkey_mprotect failed");
     }
   }

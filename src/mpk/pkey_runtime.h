@@ -58,7 +58,9 @@ class PkeyRuntime {
 
   MpkBackend backend() const { return backend_; }
 
-  // Allocates a key (1..15); kResourceExhausted when all are taken.
+  // Allocates a key (1..15); kResourceExhausted when all are taken. Under
+  // kHardware the key is the kernel pkey itself, shared by every runtime in
+  // the process, so WFDs never see one another's keys as their own.
   asbase::Result<ProtKey> AllocateKey();
   asbase::Status FreeKey(ProtKey key);
 
@@ -132,8 +134,9 @@ class PkeyRuntime {
   const MpkBackend backend_;
   mutable std::mutex mutex_;
   std::map<uintptr_t, Region> regions_;  // keyed by start address
-  uint16_t keys_in_use_ = 1;             // bit per key; key 0 reserved
-  std::map<ProtKey, int> hw_keys_;       // our key -> kernel pkey
+  // Bit per key; key 0 reserved. Under kHardware the keys are kernel
+  // pkeys (process-global); otherwise they are local to this runtime.
+  uint16_t keys_in_use_ = 1;
   std::atomic<uint64_t> switch_count_{0};
   std::atomic<uint64_t> measured_switch_nanos_{0};  // kMprotect only
 };

@@ -731,5 +731,31 @@ TEST(IfiTest, InterFunctionIsolationCostsPkruSwitches) {
   EXPECT_EQ(run_pipe(ifi), 20u) << "two PKRU writes per access under IFI";
 }
 
+TEST(IfiTest, WarmInvocationsReuseInstanceKeys) {
+  WfdOptions options = SmallWfd();
+  options.inter_function_isolation = true;
+  auto wfd = Wfd::Create(options);
+  ASSERT_TRUE(wfd.ok());
+  FunctionRegistry::Global().Register(
+      "test.ifi-noop",
+      [](FunctionContext&) -> asbase::Status { return asbase::OkStatus(); });
+  WorkflowSpec spec;
+  spec.name = "ifi-noop";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"test.ifi-noop", 2}}});
+
+  Orchestrator orchestrator(wfd->get());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(orchestrator.Run(spec, asbase::Json()).ok()) << i;
+    ASSERT_TRUE((*wfd)->Reset().ok());
+  }
+  // Each instance holds one key for the WFD's lifetime, so keys remain for
+  // the rest of the process.
+  EXPECT_NE((*wfd)->RegisterFunctionInstance("test.ifi-noop", 0),
+            (*wfd)->RegisterFunctionInstance("test.ifi-noop", 1));
+  auto spare = (*wfd)->mpk().AllocateKey();
+  ASSERT_TRUE(spare.ok()) << spare.status().ToString();
+  EXPECT_TRUE((*wfd)->mpk().FreeKey(*spare).ok());
+}
+
 }  // namespace
 }  // namespace alloy

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "src/alloc/arena.h"
+#include "src/common/logging.h"
 #include "src/mpk/pkey_runtime.h"
 #include "src/mpk/trampoline.h"
 
@@ -216,6 +217,63 @@ TEST(MprotectEnforcementTest, ReOpenedRegionIsAccessible) {
   static_cast<char*>(arena.data())[0] = 42;  // must not fault
   EXPECT_EQ(static_cast<char*>(arena.data())[0], 42);
   runtime.WritePkru(0);
+}
+
+// Hardware keys are kernel pkeys, shared by every runtime in the process.
+// Each runtime here mirrors a WFD: a system key, then a user key bound to
+// one page that user code runs under AllowKey(kDenyAll, user key).
+struct HardwareDomain {
+  PkeyRuntime runtime{MpkBackend::kHardware};
+  asalloc::Arena page{4096};
+  ProtKey system_key = runtime.AllocateKey().value();
+  ProtKey user_key = runtime.AllocateKey().value();
+  uint32_t user_pkru = PkeyRuntime::AllowKey(PkeyRuntime::kDenyAll, user_key);
+
+  HardwareDomain() {
+    AS_CHECK(runtime
+                 .BindRegion(page.data(), page.size(), user_key,
+                             PROT_READ | PROT_WRITE)
+                 .ok());
+  }
+  ~HardwareDomain() {
+    runtime.WritePkru(0);
+    runtime.UnbindRegion(page.data(), page.size());
+  }
+  volatile char* bytes() { return static_cast<volatile char*>(page.data()); }
+};
+
+TEST(HardwareKeyTest, SecondRuntimeUserCodeWritesItsOwnPage) {
+  if (!PkeyRuntime::HardwareAvailable()) {
+    GTEST_SKIP() << "no MPK hardware on this machine";
+  }
+  HardwareDomain first;
+  HardwareDomain second;
+  EXPECT_NE(first.user_key, second.user_key);
+  EXPECT_NE(first.system_key, second.user_key);
+  second.runtime.WritePkru(second.user_pkru);
+  second.bytes()[0] = 42;  // faults if the PKRU names another runtime's key
+  second.runtime.WritePkru(0);
+  EXPECT_EQ(second.bytes()[0], 42);
+}
+
+TEST(HardwareKeyDeathTest, SecondRuntimeUserCodeCannotWriteFirstPage) {
+  if (!PkeyRuntime::HardwareAvailable()) {
+    GTEST_SKIP() << "no MPK hardware on this machine";
+  }
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+#endif
+  EXPECT_DEATH(
+      {
+        HardwareDomain first;
+        HardwareDomain second;
+        second.runtime.WritePkru(second.user_pkru);
+        first.bytes()[0] = 1;  // must SIGSEGV: first's user key is denied
+        second.runtime.WritePkru(0);
+      },
+      "");
 }
 
 // ---------------------------------------------------------------- Trampoline

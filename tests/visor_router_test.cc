@@ -3,8 +3,11 @@
 // watchdog server, budget splitting, and multi-shard drain on stop.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <set>
@@ -128,6 +131,50 @@ TEST(VisorRouterTest, PinOverrideAndMigrationWithoutDoubleRegistration) {
   options.pin_shard = 7;
   router.RegisterWorkflow(EchoSpec("pinnedwf"), options);
   EXPECT_EQ(router.ShardOf("pinnedwf"), 3u);
+}
+
+// A shard's WFDs are not pinned to a core slice: every instance of a
+// fan-out stage may run on any core the process may use, so the OS spreads
+// the stage over idle cores instead of queueing it behind one.
+TEST(VisorRouterTest, StageWorkersFloatOverTheProcessCpuset) {
+  cpu_set_t process;
+  CPU_ZERO(&process);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(process), &process), 0);
+  if (CPU_COUNT(&process) < 2) {
+    GTEST_SKIP() << "needs at least 2 usable cores";
+  }
+  // Static: the registered function outlives this test.
+  static std::array<cpu_set_t, 4> seen{};
+  static std::array<int, 4> rc{};
+  rc.fill(-1);
+  FunctionRegistry::Global().Register(
+      "router.affinity", [](FunctionContext& ctx) -> asbase::Status {
+        const int i = ctx.instance();
+        CPU_ZERO(&seen[i]);
+        rc[i] = pthread_getaffinity_np(pthread_self(), sizeof(seen[i]),
+                                       &seen[i]);
+        return asbase::OkStatus();
+      });
+  RouterOptions router_options;
+  router_options.shards = 2;
+  AsVisorRouter router(router_options);
+  AsVisor::WorkflowOptions options;
+  options.wfd = SmallWfd();
+  options.pool_size = 0;
+  WorkflowSpec spec;
+  spec.name = "affinitywf";
+  spec.stages.push_back(StageSpec{{FunctionSpec{"router.affinity", 4}}});
+  router.RegisterWorkflow(spec, options);
+
+  auto invoked = router.Invoke("affinitywf", asbase::Json());
+  ASSERT_TRUE(invoked.ok()) << invoked.status().ToString();
+  EXPECT_TRUE(router.shard(router.ShardOf("affinitywf")).shard_cpus().empty());
+  for (size_t i = 0; i < seen.size(); ++i) {
+    ASSERT_EQ(rc[i], 0) << "instance " << i;
+    EXPECT_TRUE(CPU_EQUAL(&seen[i], &process))
+        << "instance " << i << " runs on " << CPU_COUNT(&seen[i]) << " of "
+        << CPU_COUNT(&process) << " cores";
+  }
 }
 
 TEST(VisorRouterTest, ShardCountChangeRedistributesAFraction) {
